@@ -76,38 +76,69 @@ func MLogReg(x engine.Mat, y *matrix.Dense, cfg MLogRegConfig) (res *MLogRegResu
 
 		// Newton direction per class via CG with Hessian-vector products
 		// Hv = X⊤(q ⊙ (Xv)) + lambda v, q = p_c(1-p_c) — the paper's inner
-		// X⊤(w ⊙ (Xv)) pattern, one fused federated mmchain per iteration.
-		for c := 0; c < k; c++ {
+		// X⊤(w ⊙ (Xv)) pattern. The k independent solves run in lockstep:
+		// each inner iteration evaluates the products of every class still
+		// iterating in one multi-column mmchain (one federated round trip,
+		// not one per class). A class stops at its own rs <= 1e-16 exit and
+		// stays frozen while the others go on.
+		cg := make([]cgState, k)
+		for c := range cg {
 			q := matrix.NewDense(n, 1)
 			for i := 0; i < n; i++ {
 				pc := p.At(i, c)
 				q.Set(i, 0, pc*(1-pc)+1e-8)
 			}
-			gc := g.SliceCols(c, c+1)
-			dir := matrix.NewDense(d, 1)
-			r := gc.Neg()
-			pv := r.Clone()
-			rs := matrix.Dot(r, r)
-			for inner := 0; inner < maxInner && rs > 1e-16; inner++ {
-				hv := engine.MMChain(x, pv, q)
-				hv.AxpyInPlace(lambda, pv)
-				alpha := rs / matrix.Dot(pv, hv)
-				dir.AxpyInPlace(alpha, pv)
-				r.AxpyInPlace(-alpha, hv)
-				rsNew := matrix.Dot(r, r)
-				beta := rsNew / rs
-				for i, rv := range r.Data() {
-					pv.Data()[i] = rv + beta*pv.Data()[i]
+			r := g.SliceCols(c, c+1).Neg()
+			cg[c] = cgState{q: q, dir: matrix.NewDense(d, 1), r: r, pv: r.Clone(), rs: matrix.Dot(r, r)}
+		}
+		for inner := 0; inner < maxInner; inner++ {
+			var active []int
+			var pvs, qs []*matrix.Dense
+			for c := range cg {
+				if cg[c].rs > 1e-16 {
+					active = append(active, c)
+					pvs = append(pvs, cg[c].pv)
+					qs = append(qs, cg[c].q)
 				}
-				rs = rsNew
+			}
+			if len(active) == 0 {
+				break
+			}
+			hv := engine.MMChain(x, matrix.CBind(pvs...), matrix.CBind(qs...))
+			for j, c := range active {
+				cg[c].step(hv.SliceCols(j, j+1), lambda)
 				innerTotal++
 			}
+		}
+		for c := range cg {
 			for i := 0; i < d; i++ {
-				w.Set(i, c, w.At(i, c)+dir.At(i, 0))
+				w.Set(i, c, w.At(i, c)+cg[c].dir.At(i, 0))
 			}
 		}
 	}
 	return &MLogRegResult{Weights: w, OuterIters: outer, InnerIters: innerTotal}, nil
+}
+
+// cgState is one class's conjugate-gradient solve of H dir = -g_c.
+type cgState struct {
+	q     *matrix.Dense // Hessian weights p_c(1-p_c) + 1e-8, n x 1
+	dir   *matrix.Dense // solution so far, d x 1
+	r, pv *matrix.Dense // residual and search direction, d x 1
+	rs    float64       // squared residual norm
+}
+
+// step advances the solve by one CG iteration given X⊤(q ⊙ (X pv)).
+func (s *cgState) step(hv *matrix.Dense, lambda float64) {
+	hv.AxpyInPlace(lambda, s.pv)
+	alpha := s.rs / matrix.Dot(s.pv, hv)
+	s.dir.AxpyInPlace(alpha, s.pv)
+	s.r.AxpyInPlace(-alpha, hv)
+	rsNew := matrix.Dot(s.r, s.r)
+	beta := rsNew / s.rs
+	for i, rv := range s.r.Data() {
+		s.pv.Data()[i] = rv + beta*s.pv.Data()[i]
+	}
+	s.rs = rsNew
 }
 
 // Predict returns the 1-based predicted class per row.

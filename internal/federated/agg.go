@@ -118,55 +118,32 @@ func (m *Matrix) ColAgg(op matrix.AggOp) (*Matrix, *matrix.Dense, error) {
 		}
 		return nil, local.Transpose(), nil
 	case ColPartitioned:
+		// Each worker aggregates the rows of t(X) into a colrange x 1
+		// vector and transposes it to the 1 x colrange map shape in the
+		// same batch.
 		outIDs := m.newIDs()
 		_, err := m.c.parallelCall(m.fm.Partitions, func(i int, p Partition) []fedrpc.Request {
-			tid := m.c.NewID()
+			tid, aid := m.c.NewID(), m.c.NewID()
 			return []fedrpc.Request{
 				{Type: fedrpc.ExecInst, Inst: &fedrpc.Instruction{
 					Opcode: "t", Inputs: []int64{p.DataID}, Output: tid}},
 				{Type: fedrpc.ExecInst, Inst: &fedrpc.Instruction{
-					Opcode: "uar_" + op.String(), Inputs: []int64{tid}, Output: outIDs[i]}},
-				{Type: fedrpc.ExecInst, Inst: &fedrpc.Instruction{Opcode: "rmvar", Inputs: []int64{tid}}},
+					Opcode: "uar_" + op.String(), Inputs: []int64{tid}, Output: aid}},
+				{Type: fedrpc.ExecInst, Inst: &fedrpc.Instruction{
+					Opcode: "t", Inputs: []int64{aid}, Output: outIDs[i]}},
+				{Type: fedrpc.ExecInst, Inst: &fedrpc.Instruction{Opcode: "rmvar", Inputs: []int64{tid, aid}}},
 			}
 		})
 		if err != nil {
 			return nil, nil, err
 		}
-		// Each worker now holds a (colrange x 1) vector; flip to 1 x cols map.
-		fm := FedMap{Rows: 1, Cols: m.Cols()}
-		for i, p := range m.fm.Partitions {
-			_ = i
-			fm.Partitions = append(fm.Partitions, Partition{
-				Range:  Range{RowBeg: 0, RowEnd: 1, ColBeg: p.Range.ColBeg, ColEnd: p.Range.ColEnd},
-				Addr:   p.Addr,
-				DataID: outIDs[i],
-			})
-		}
-		// The worker-held vectors are colrange x 1, but the map says 1 x
-		// colrange; transpose them in place to match.
-		tFM, err := transposeInPlace(m.c, fm, outIDs)
-		if err != nil {
-			return nil, nil, err
-		}
-		out, err := FromMap(m.c, tFM)
-		return out, nil, err
+		out := m.derive(1, m.Cols(), outIDs, func(r Range) Range {
+			return Range{RowBeg: 0, RowEnd: 1, ColBeg: r.ColBeg, ColEnd: r.ColEnd}
+		})
+		return out, nil, nil
 	default:
 		return nil, nil, fmt.Errorf("federated: colAgg on irregular partitioning unsupported")
 	}
-}
-
-// transposeInPlace rebinds each partition's data to its transpose under a
-// fresh ID, keeping the provided map.
-func transposeInPlace(c *Coordinator, fm FedMap, ids []int64) (FedMap, error) {
-	for i := range fm.Partitions {
-		nid := c.NewID()
-		if _, err := c.callOne(fm.Partitions[i].Addr, fedrpc.Request{Type: fedrpc.ExecInst, Inst: &fedrpc.Instruction{
-			Opcode: "t", Inputs: []int64{ids[i]}, Output: nid}}); err != nil {
-			return fm, err
-		}
-		fm.Partitions[i].DataID = nid
-	}
-	return fm, nil
 }
 
 // combineTupleColumns merges per-partition 5 x n tuple matrices

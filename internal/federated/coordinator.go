@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -417,15 +418,17 @@ func (c *Coordinator) callOne(addr string, req fedrpc.Request) (fedrpc.Response,
 		return fedrpc.Response{}, err
 	}
 	if !resps[0].OK {
-		if resps[0].Code == fedrpc.CodeDeadlineExceeded {
-			// Normally typed upstream by attemptCall; kept here so a typed
-			// reply can never lose its class on this path either.
-			return resps[0], fmt.Errorf("federated: %s %s: %w: %s",
-				addr, req.Type, fedrpc.ErrDeadlineExceeded, resps[0].Err)
-		}
-		return resps[0], fmt.Errorf("federated: %s %s: %s", addr, req.Type, resps[0].Err)
+		return resps[0], requestError(addr, req, resps[0])
 	}
 	return resps[0], nil
+}
+
+// requestError formats a worker-reported per-request failure, the same way
+// for single calls (callOne) and parallel batches (parallelCall). Replies
+// carrying the typed deadline code never get here: attemptCall already
+// turned them into fedrpc.ErrDeadlineExceeded.
+func requestError(addr string, req fedrpc.Request, resp fedrpc.Response) error {
+	return fmt.Errorf("federated: %s %s: %s", addr, req.Type, resp.Err)
 }
 
 // Fetch retrieves one worker object by ID through the retry (and, when
@@ -503,30 +506,36 @@ func (c *Coordinator) BytesSent() int64 { return c.fleet.BytesSent() }
 // this coordinator's fleet.
 func (c *Coordinator) BytesReceived() int64 { return c.fleet.BytesReceived() }
 
-// touchedAddrs snapshots the worker addresses this session has talked to.
+// touchedAddrs snapshots the worker addresses this session has talked to,
+// sorted so that per-address fan-outs report errors deterministically.
 func (c *Coordinator) touchedAddrs() []string {
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	addrs := make([]string, 0, len(c.touched))
 	for addr := range c.touched {
 		addrs = append(addrs, addr)
 	}
+	c.mu.Unlock()
+	sort.Strings(addrs)
 	return addrs
 }
 
-// ClearAll sends CLEAR to every worker this session has touched, releasing
-// the session's symbol-table objects. The CLEAR travels with the session
-// namespace in its ID field, so on a shared fleet it removes only this
-// session's bindings; a legacy coordinator's namespace is 0, which keeps
-// the old clear-everything semantics.
+// ClearAll sends CLEAR to every worker this session has touched, all in
+// parallel, releasing the session's symbol-table objects. The CLEAR travels
+// with the session namespace in its ID field, so on a shared fleet it
+// removes only this session's bindings; a legacy coordinator's namespace
+// is 0, which keeps the old clear-everything semantics. Every worker is
+// cleared even when some fail; the first failing address's error is
+// returned.
 func (c *Coordinator) ClearAll() error {
-	var firstErr error
-	for _, addr := range c.touchedAddrs() {
-		if _, err := c.callOne(addr, fedrpc.Request{Type: fedrpc.Clear, ID: c.ns}); err != nil && firstErr == nil {
-			firstErr = err
-		}
+	addrs := c.touchedAddrs()
+	parts := make([]Partition, len(addrs))
+	for i, addr := range addrs {
+		parts[i].Addr = addr
 	}
-	return firstErr
+	_, err := c.parallelCall(parts, func(int, Partition) []fedrpc.Request {
+		return []fedrpc.Request{{Type: fedrpc.Clear, ID: c.ns}}
+	})
+	return err
 }
 
 // Close cancels in-flight retry backoffs, joins the health prober if one is
@@ -573,7 +582,7 @@ func (c *Coordinator) parallelCall(parts []Partition, build func(i int, p Partit
 			if err == nil {
 				for ri, r := range resps {
 					if !r.OK {
-						err = fmt.Errorf("federated: %s %s: %s", p.Addr, jobs[i].reqs[ri].Type, r.Err)
+						err = requestError(p.Addr, jobs[i].reqs[ri], r)
 						break
 					}
 				}
@@ -630,28 +639,6 @@ func (c *Coordinator) cleanupPartial(parts []Partition, reqs [][]fedrpc.Request)
 				Opcode: "rmvar", Inputs: ids,
 			}})
 		}(p.Addr, ids)
-	}
-	wg.Wait()
-}
-
-// freePartitions best-effort-removes the worker-side bindings of the given
-// partitions in parallel. It is the cleanup path of sequential constructors
-// (Distribute*, Read*) that abort midway: without it the already-placed
-// partitions would leak in the workers' symbol tables until session CLEAR.
-func (c *Coordinator) freePartitions(parts []Partition) {
-	var wg sync.WaitGroup
-	for _, p := range parts {
-		wg.Add(1)
-		go func(addr string, id int64) {
-			defer wg.Done()
-			cl, err := c.Client(addr)
-			if err != nil {
-				return
-			}
-			_, _ = cl.Call(fedrpc.Request{Type: fedrpc.ExecInst, Inst: &fedrpc.Instruction{
-				Opcode: "rmvar", Inputs: []int64{id},
-			}})
-		}(p.Addr, p.DataID)
 	}
 	wg.Wait()
 }

@@ -89,13 +89,7 @@ func (c *Coordinator) StartHealth(p HealthPolicy) {
 // probe round races nothing: operations hold their own retry loops, and
 // the per-client mutex serializes the wire).
 func (c *Coordinator) probeAll() {
-	c.mu.Lock()
-	addrs := make([]string, 0, len(c.touched))
-	for addr := range c.touched {
-		addrs = append(addrs, addr)
-	}
-	c.mu.Unlock()
-	for _, addr := range addrs {
+	for _, addr := range c.touchedAddrs() {
 		if err := c.Ping(addr); err != nil {
 			continue // unreachable: marked unhealthy, next round retries
 		}

@@ -150,13 +150,19 @@ func (m *Matrix) TSMM() (*matrix.Dense, error) {
 
 // MMChain computes the fused t(X) %*% (w * (X %*% v)) (w may be nil) with a
 // single broadcast of v (and sliced w), one fused per-partition kernel, and
-// coordinator-side summation — the inner pattern of LM and MLogReg.
+// coordinator-side summation — the inner pattern of LM and MLogReg. v may
+// carry c columns and w the same c columns: the cols x c result holds one
+// independent chain per column (matrix.Dense.MMChain), so c chains cost one
+// round trip.
 func (m *Matrix) MMChain(v, w *matrix.Dense) (*matrix.Dense, error) {
 	if m.Scheme() != RowPartitioned {
 		return nil, fmt.Errorf("federated: mmchain requires row partitioning")
 	}
 	if v.Rows() != m.Cols() {
-		return nil, fmt.Errorf("federated: mmchain v is %dx%d, want %dx1", v.Rows(), v.Cols(), m.Cols())
+		return nil, fmt.Errorf("federated: mmchain v is %dx%d, want %d rows", v.Rows(), v.Cols(), m.Cols())
+	}
+	if w != nil && (w.Rows() != m.Rows() || w.Cols() != v.Cols()) {
+		return nil, fmt.Errorf("federated: mmchain w is %dx%d, want %dx%d", w.Rows(), w.Cols(), m.Rows(), v.Cols())
 	}
 	resps, err := m.c.parallelCall(m.fm.Partitions, func(i int, p Partition) []fedrpc.Request {
 		vid, oid := m.c.NewID(), m.c.NewID()
@@ -184,7 +190,7 @@ func (m *Matrix) MMChain(v, w *matrix.Dense) (*matrix.Dense, error) {
 	if err != nil {
 		return nil, err
 	}
-	sum := matrix.NewDense(m.Cols(), 1)
+	sum := matrix.NewDense(m.Cols(), v.Cols())
 	for _, rs := range resps {
 		sum.AddInPlace(rs[len(rs)-2].Data.Matrix())
 	}

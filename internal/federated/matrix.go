@@ -78,6 +78,7 @@ func DistributeWithColumns(c *Coordinator, x *matrix.Dense, addrs []string, sche
 		return nil, fmt.Errorf("federated: cannot split %d %s across %d workers",
 			total, scheme, n)
 	}
+	parts := make([]Partition, n)
 	beg := 0
 	for i, addr := range addrs {
 		size := total / n
@@ -85,16 +86,21 @@ func DistributeWithColumns(c *Coordinator, x *matrix.Dense, addrs []string, sche
 			size++
 		}
 		end := beg + size
-		var r Range
-		var part *matrix.Dense
+		r := Range{RowBeg: beg, RowEnd: end, ColBeg: 0, ColEnd: x.Cols()}
 		if scheme == ColPartitioned {
 			r = Range{RowBeg: 0, RowEnd: x.Rows(), ColBeg: beg, ColEnd: end}
-			part = x.SliceCols(beg, end)
-		} else {
-			r = Range{RowBeg: beg, RowEnd: end, ColBeg: 0, ColEnd: x.Cols()}
-			part = x.SliceRows(beg, end)
 		}
-		id := c.NewID()
+		parts[i] = Partition{Range: r, Addr: addr}
+		beg = end
+	}
+	// One concurrent PUT per worker; an aborted distribute leaves no
+	// worker-side state behind (parallelCall reclaims the placed parts).
+	if _, err := c.parallelCall(parts, func(i int, p Partition) []fedrpc.Request {
+		r := p.Range
+		part := x.SliceRows(r.RowBeg, r.RowEnd)
+		if scheme == ColPartitioned {
+			part = x.SliceCols(r.ColBeg, r.ColEnd)
+		}
 		var colPriv []int
 		if len(colLevels) > 0 {
 			for j := r.ColBeg; j < r.ColEnd; j++ {
@@ -105,18 +111,15 @@ func DistributeWithColumns(c *Coordinator, x *matrix.Dense, addrs []string, sche
 				}
 			}
 		}
-		if _, err := c.callOne(addr, fedrpc.Request{
-			Type: fedrpc.Put, ID: id, Privacy: int(level), ColPrivacy: colPriv,
+		parts[i].DataID = c.NewID()
+		return []fedrpc.Request{{
+			Type: fedrpc.Put, ID: parts[i].DataID, Privacy: int(level), ColPrivacy: colPriv,
 			Data: fedrpc.MatrixPayload(part),
-		}); err != nil {
-			// Reclaim the partitions already placed on other workers so an
-			// aborted distribute leaves no worker-side state behind.
-			c.freePartitions(fm.Partitions)
-			return nil, err
-		}
-		fm.Partitions = append(fm.Partitions, Partition{Range: r, Addr: addr, DataID: id})
-		beg = end
+		}}
+	}); err != nil {
+		return nil, err
 	}
+	fm.Partitions = parts
 	return FromMap(c, fm)
 }
 
@@ -131,58 +134,50 @@ type ReadSpec struct {
 // files at the federated sites (read-on-demand, §4.1): each worker READs
 // its file locally; only the dimensions travel to the coordinator.
 func ReadRowPartitioned(c *Coordinator, specs []ReadSpec) (*Matrix, error) {
-	type meta struct {
-		id         int64
-		rows, cols int
+	fm, err := readSites(c, specs)
+	if err != nil {
+		return nil, err
 	}
-	metas := make([]meta, len(specs))
-	// read reports the IDs bound so far (including the in-flight one) so an
-	// abort can reclaim them.
-	read := func(upto int) []Partition {
-		parts := make([]Partition, 0, upto+1)
-		for j := 0; j <= upto; j++ {
-			parts = append(parts, Partition{Addr: specs[j].Addr, DataID: metas[j].id})
-		}
-		return parts
-	}
+	return FromMap(c, fm)
+}
+
+// readSites READs every spec's file at its site, one concurrent batch per
+// site, and returns the row-partitioned map over the bound objects in spec
+// order. Sites whose column counts disagree fail the read; the bindings
+// are then reclaimed by the same sweep as any aborted parallelCall.
+func readSites(c *Coordinator, specs []ReadSpec) (FedMap, error) {
+	parts := make([]Partition, len(specs))
 	for i, spec := range specs {
+		parts[i].Addr = spec.Addr
+	}
+	reqs := make([][]fedrpc.Request, len(specs))
+	resps, err := c.parallelCall(parts, func(i int, p Partition) []fedrpc.Request {
 		id := c.NewID()
-		metas[i].id = id
-		resps, err := c.call(spec.Addr, []fedrpc.Request{
-			{Type: fedrpc.Read, ID: id, Filename: spec.Filename, Privacy: int(spec.Privacy)},
+		parts[i].DataID = id
+		reqs[i] = []fedrpc.Request{
+			{Type: fedrpc.Read, ID: id, Filename: specs[i].Filename, Privacy: int(specs[i].Privacy)},
 			{Type: fedrpc.ExecUDF, UDF: &fedrpc.UDFCall{Name: "obj_dims", Inputs: []int64{id}}},
-		})
-		if err != nil {
-			c.freePartitions(read(i))
-			return nil, err
 		}
-		for _, r := range resps {
-			if !r.OK {
-				c.freePartitions(read(i))
-				return nil, fmt.Errorf("federated: read %s at %s: %s", spec.Filename, spec.Addr, r.Err)
-			}
-		}
-		dims := resps[1].Data.Matrix()
-		metas[i] = meta{id: id, rows: int(dims.At(0, 0)), cols: int(dims.At(0, 1))}
+		return reqs[i]
+	})
+	if err != nil {
+		return FedMap{}, err
 	}
 	fm := FedMap{}
-	row := 0
 	for i, spec := range specs {
+		dims := resps[i][1].Data.Matrix()
+		rows, cols := int(dims.At(0, 0)), int(dims.At(0, 1))
 		if i == 0 {
-			fm.Cols = metas[i].cols
-		} else if metas[i].cols != fm.Cols {
-			return nil, fmt.Errorf("federated: %s has %d columns, want %d",
-				spec.Filename, metas[i].cols, fm.Cols)
+			fm.Cols = cols
+		} else if cols != fm.Cols {
+			c.cleanupPartial(parts, reqs)
+			return FedMap{}, fmt.Errorf("federated: %s has %d columns, want %d", spec.Filename, cols, fm.Cols)
 		}
-		fm.Partitions = append(fm.Partitions, Partition{
-			Range:  Range{RowBeg: row, RowEnd: row + metas[i].rows, ColBeg: 0, ColEnd: metas[i].cols},
-			Addr:   spec.Addr,
-			DataID: metas[i].id,
-		})
-		row += metas[i].rows
+		parts[i].Range = Range{RowBeg: fm.Rows, RowEnd: fm.Rows + rows, ColBeg: 0, ColEnd: cols}
+		fm.Rows += rows
 	}
-	fm.Rows = row
-	return FromMap(c, fm)
+	fm.Partitions = parts
+	return fm, nil
 }
 
 // Consolidate transfers all partitions to the coordinator and assembles the

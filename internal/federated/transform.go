@@ -40,7 +40,7 @@ func DistributeFrame(c *Coordinator, fr *frame.Frame, addrs []string, level priv
 	if fr.NumRows() < n {
 		return nil, fmt.Errorf("federated: cannot split %d rows across %d workers", fr.NumRows(), n)
 	}
-	fm := FedMap{Rows: fr.NumRows(), Cols: fr.NumCols()}
+	parts := make([]Partition, n)
 	beg := 0
 	for i, addr := range addrs {
 		size := fr.NumRows() / n
@@ -48,67 +48,30 @@ func DistributeFrame(c *Coordinator, fr *frame.Frame, addrs []string, level priv
 			size++
 		}
 		end := beg + size
-		id := c.NewID()
-		if _, err := c.callOne(addr, fedrpc.Request{
-			Type: fedrpc.Put, ID: id, Privacy: int(level),
-			Data: fedrpc.FramePayload(fr.SliceRows(beg, end)),
-		}); err != nil {
-			// Reclaim the partitions already placed on other workers so an
-			// aborted distribute leaves no worker-side state behind.
-			c.freePartitions(fm.Partitions)
-			return nil, err
-		}
-		fm.Partitions = append(fm.Partitions, Partition{
-			Range:  Range{RowBeg: beg, RowEnd: end, ColBeg: 0, ColEnd: fr.NumCols()},
-			Addr:   addr,
-			DataID: id,
-		})
+		parts[i] = Partition{Range: Range{RowBeg: beg, RowEnd: end, ColBeg: 0, ColEnd: fr.NumCols()}, Addr: addr}
 		beg = end
 	}
-	return &Frame{c: c, fm: fm}, nil
+	// One concurrent PUT per worker; an aborted distribute leaves no
+	// worker-side state behind (parallelCall reclaims the placed parts).
+	if _, err := c.parallelCall(parts, func(i int, p Partition) []fedrpc.Request {
+		parts[i].DataID = c.NewID()
+		return []fedrpc.Request{{
+			Type: fedrpc.Put, ID: parts[i].DataID, Privacy: int(level),
+			Data: fedrpc.FramePayload(fr.SliceRows(p.Range.RowBeg, p.Range.RowEnd)),
+		}}
+	}); err != nil {
+		return nil, err
+	}
+	return &Frame{c: c, fm: FedMap{Rows: fr.NumRows(), Cols: fr.NumCols(), Partitions: parts}}, nil
 }
 
 // ReadFrames builds a row-partitioned federated frame from raw CSV files at
 // the federated sites without moving raw data.
 func ReadFrames(c *Coordinator, specs []ReadSpec) (*Frame, error) {
-	fm := FedMap{}
-	row := 0
-	for i, spec := range specs {
-		id := c.NewID()
-		// abort reclaims the frames already read, plus the in-flight ID.
-		abort := func() {
-			parts := append([]Partition(nil), fm.Partitions...)
-			c.freePartitions(append(parts, Partition{Addr: spec.Addr, DataID: id}))
-		}
-		resps, err := c.call(spec.Addr, []fedrpc.Request{
-			{Type: fedrpc.Read, ID: id, Filename: spec.Filename, Privacy: int(spec.Privacy)},
-			{Type: fedrpc.ExecUDF, UDF: &fedrpc.UDFCall{Name: "obj_dims", Inputs: []int64{id}}},
-		})
-		if err != nil {
-			abort()
-			return nil, err
-		}
-		for _, r := range resps {
-			if !r.OK {
-				abort()
-				return nil, fmt.Errorf("federated: read %s at %s: %s", spec.Filename, spec.Addr, r.Err)
-			}
-		}
-		dims := resps[1].Data.Matrix()
-		rows, cols := int(dims.At(0, 0)), int(dims.At(0, 1))
-		if i == 0 {
-			fm.Cols = cols
-		} else if cols != fm.Cols {
-			return nil, fmt.Errorf("federated: %s has %d columns, want %d", spec.Filename, cols, fm.Cols)
-		}
-		fm.Partitions = append(fm.Partitions, Partition{
-			Range:  Range{RowBeg: row, RowEnd: row + rows, ColBeg: 0, ColEnd: cols},
-			Addr:   spec.Addr,
-			DataID: id,
-		})
-		row += rows
+	fm, err := readSites(c, specs)
+	if err != nil {
+		return nil, err
 	}
-	fm.Rows = row
 	return &Frame{c: c, fm: fm}, nil
 }
 

@@ -103,50 +103,62 @@ func tsmmBand(m, out *Dense, rb, re int) {
 // MMChain computes the fused matrix-multiplication chain
 // t(X) %*% (w * (X %*% v)) when w is non-nil, or t(X) %*% (X %*% v) when w
 // is nil — the pattern used by LM and MLogReg inner loops (SystemDS mmchain).
+// v may carry c columns (and w, if given, the same c columns): column j of
+// the cols x c result is t(X) %*% (w_j * (X %*% v_j)), computed over the
+// same row bands in the same order as a one-column call, so it is bitwise
+// equal to MMChain(v_j, w_j). One pass over X serves all c columns.
 func (m *Dense) MMChain(v, w *Dense) *Dense {
-	if m.cols != v.rows || v.cols != 1 {
-		panic("matrix: mmchain requires v of shape cols x 1")
+	if m.cols != v.rows {
+		panic("matrix: mmchain requires v of shape cols x c")
 	}
-	if w != nil && (w.rows != m.rows || w.cols != 1) {
-		panic("matrix: mmchain requires w of shape rows x 1")
+	c := v.cols
+	if w != nil && (w.rows != m.rows || w.cols != c) {
+		panic("matrix: mmchain requires w of shape rows x c")
 	}
 	n, k := m.rows, m.cols
+	// Column-major v and partials (c x k) keep each column contiguous; for
+	// c = 1 both layouts coincide with the k x 1 vector.
+	vt := v.Transpose()
 	threads := threadsFor(n)
 	chunk := (n + threads - 1) / threads
 	partials := make([]*Dense, threads)
-	parallelFor(threads, chunk*k*2, func(lo, hi int) {
+	parallelFor(threads, chunk*k*2*c, func(lo, hi int) {
 		for t := lo; t < hi; t++ {
 			rb, re := band(t, chunk, n)
 			if rb >= re {
 				continue
 			}
-			p := NewDense(k, 1)
+			p := NewDense(c, k)
 			for i := rb; i < re; i++ {
 				row := m.Row(i)
-				dot := 0.0
-				for j, a := range row {
-					dot += a * v.data[j]
-				}
-				if w != nil {
-					dot *= w.data[i]
-				}
-				if dot == 0 {
-					continue
-				}
-				for j, a := range row {
-					p.data[j] += a * dot
+				for j := 0; j < c; j++ {
+					vj := vt.data[j*k : (j+1)*k]
+					dot := 0.0
+					for a, x := range row {
+						dot += x * vj[a]
+					}
+					if w != nil {
+						dot *= w.data[i*c+j]
+					}
+					if dot == 0 {
+						continue
+					}
+					pj := p.data[j*k : (j+1)*k]
+					for a, x := range row {
+						pj[a] += x * dot
+					}
 				}
 			}
 			partials[t] = p
 		}
 	})
-	out := NewDense(k, 1)
+	out := NewDense(c, k)
 	for _, p := range partials {
 		if p != nil {
 			out.AddInPlace(p)
 		}
 	}
-	return out
+	return out.Transpose()
 }
 
 // Transpose returns t(m), blocked for cache locality.

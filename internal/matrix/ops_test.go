@@ -294,6 +294,57 @@ func TestMMChainEqualsExplicit(t *testing.T) {
 	}
 }
 
+// TestMMChainMultiColumnBitwise pins the lockstep contract: column j of a
+// c-column mmchain is bitwise equal to the one-column chain over v_j (and
+// w_j), with and without weights, at one thread and at several (where the
+// row bands, and so the summation order, differ from the one-thread run).
+// Zero rows of X and zero weights exercise the dot == 0 skip.
+func TestMMChainMultiColumnBitwise(t *testing.T) {
+	defer SetParallelism(SetParallelism(1))
+	rng := rand.New(rand.NewSource(12))
+	x := Randn(rng, 700, 30, 0, 1)
+	for _, i := range []int{3, 250, 699} {
+		for j := 0; j < x.cols; j++ {
+			x.Set(i, j, 0)
+		}
+	}
+	for _, threads := range []int{1, 4} {
+		SetParallelism(threads)
+		for _, c := range []int{0, 1, 2, 5} {
+			v := Randn(rng, 30, c, 0, 1)
+			w := Randn(rng, 700, c, 0, 1)
+			for i := 0; i < 700; i += 7 {
+				for j := 0; j < c; j++ {
+					w.Set(i, j, 0)
+				}
+			}
+			for _, weighted := range []bool{false, true} {
+				var wm *Dense
+				if weighted {
+					wm = w
+				}
+				got := x.MMChain(v, wm)
+				if got.rows != 30 || got.cols != c {
+					t.Fatalf("threads=%d c=%d: shape %dx%d, want 30x%d", threads, c, got.rows, got.cols, c)
+				}
+				for j := 0; j < c; j++ {
+					var wj *Dense
+					if weighted {
+						wj = w.SliceCols(j, j+1)
+					}
+					want := x.MMChain(v.SliceCols(j, j+1), wj)
+					for i := 0; i < 30; i++ {
+						if math.Float64bits(got.At(i, j)) != math.Float64bits(want.At(i, 0)) {
+							t.Fatalf("threads=%d c=%d weighted=%v: cell (%d,%d) = %v, one-column chain gives %v",
+								threads, c, weighted, i, j, got.At(i, j), want.At(i, 0))
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestTransposeRoundTrip(t *testing.T) {
 	t.Parallel()
 	rng := rand.New(rand.NewSource(8))

@@ -256,7 +256,7 @@ func (w *Worker) execInst(inst *fedrpc.Instruction) (*matrix.Dense, privacy.Leve
 		}
 		return aggregating(a.TSMM(), nil)
 
-	case "mmchain": // t(X) %*% (w * (X %*% v)) partial
+	case "mmchain": // t(X) %*% (w * (X %*% v)) partial; v (and w) may carry c columns, one chain each
 		a, err := w.Matrix(inst.Inputs[0])
 		if err != nil {
 			return nil, 0, err
