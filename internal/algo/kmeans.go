@@ -52,7 +52,7 @@ func KMeans(x engine.Mat, cfg KMeansConfig) (res *KMeansResult, err error) {
 		tol = 1e-6
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	xsq := engine.Agg(matrix.AggSum, engine.Binary(matrix.OpMul, x, x))
+	xsq := engine.Agg(matrix.AggSumSq, x)
 
 	best := &KMeansResult{WCSS: math.Inf(1)}
 	for run := 0; run < runs; run++ {
@@ -84,14 +84,16 @@ func kmeansStep(x engine.Mat, c *matrix.Dense, xsq float64) (*matrix.Dense, floa
 	// row-constant ||x||^2, which does not affect the argmin).
 	cs := c.Mul(c).RowSums().Transpose() // 1 x K
 	xc := engine.MatMul(x, c.Transpose())
-	d := engine.Binary(matrix.OpAdd, engine.Scale(xc, -2), cs)
+	xc2 := engine.Scale(xc, -2)
+	d := engine.Binary(matrix.OpAdd, xc2, cs)
 	// P = (D <= rowMins(D)); share ties: P = P / rowSums(P).
 	dm := engine.RowAgg(matrix.AggMin, d)
-	p := engine.Binary(matrix.OpLe, d, dm)
-	prs := engine.RowAgg(matrix.AggSum, p)
-	p = engine.Div(p, prs)
+	ple := engine.Binary(matrix.OpLe, d, dm)
+	prs := engine.RowAgg(matrix.AggSum, ple)
+	p := engine.Div(ple, prs)
 	// WCSS = sum(X^2) + sum(P * D) (adding back the row constants).
-	wcss := xsq + engine.Sum(engine.Mul(p, d))
+	pd := engine.Mul(p, d)
+	wcss := xsq + engine.Sum(pd)
 	// C_new = (t(P) %*% X) / t(P_denom).
 	pden := engine.Local(engine.ColAgg(matrix.AggSum, p)) // 1 x K
 	ptx := engine.Local(engine.TMatMul(p, x))             // K x cols
@@ -104,7 +106,7 @@ func kmeansStep(x engine.Mat, c *matrix.Dense, xsq float64) (*matrix.Dense, floa
 			}
 		}
 	}
-	engine.Free(xc, d, dm, p, prs)
+	engine.Free(xc, xc2, d, dm, ple, prs, p, pd)
 	return cNew, wcss
 }
 
@@ -131,7 +133,9 @@ func initCentroids(rng *rand.Rand, x engine.Mat, k int) *matrix.Dense {
 // trySampleRows gathers K distinct random rows, returning nil if the
 // transfer violates a privacy constraint.
 func trySampleRows(rng *rand.Rand, x engine.Mat, k int) (c *matrix.Dense) {
+	var rows []engine.Mat
 	defer func() {
+		engine.Free(rows...)
 		if r := recover(); r != nil {
 			if _, ok := r.(*engine.Error); ok {
 				c = nil
@@ -149,8 +153,8 @@ func trySampleRows(rng *rand.Rand, x engine.Mat, k int) (c *matrix.Dense) {
 			r = rng.Intn(n)
 		}
 		seen[r] = true
-		row := engine.Local(engine.Slice(x, r, r+1, 0, x.Cols()))
-		c.SetSlice(i, 0, row)
+		rows = append(rows, engine.Slice(x, r, r+1, 0, x.Cols()))
+		c.SetSlice(i, 0, engine.Local(rows[i]))
 	}
 	return c
 }
@@ -160,9 +164,11 @@ func (m *KMeansResult) Assign(x engine.Mat) (out *matrix.Dense, err error) {
 	defer engine.Guard(&err)
 	cs := m.Centroids.Mul(m.Centroids).RowSums().Transpose()
 	xc := engine.MatMul(x, m.Centroids.Transpose())
-	d := engine.Binary(matrix.OpAdd, engine.Scale(xc, -2), cs)
+	xc2 := engine.Scale(xc, -2)
+	d := engine.Binary(matrix.OpAdd, xc2, cs)
 	neg := engine.Scale(d, -1) // argmin distance = argmax of negated
-	assign := engine.Local(engine.RowIndexMax(neg))
-	engine.Free(xc, d, neg)
+	idx := engine.RowIndexMax(neg)
+	assign := engine.Local(idx)
+	engine.Free(xc, xc2, d, neg, idx)
 	return assign, nil
 }

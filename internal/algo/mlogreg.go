@@ -64,8 +64,9 @@ func MLogReg(x engine.Mat, y *matrix.Dense, cfg MLogRegConfig) (res *MLogRegResu
 		// federated; the per-class columns consolidate as aggregates only
 		// via the gradient below.
 		xw := engine.MatMul(x, w)
-		p := engine.Local(engine.Softmax(xw))
-		engine.Free(xw)
+		sm := engine.Softmax(xw)
+		p := engine.Local(sm)
+		engine.Free(xw, sm)
 
 		// Gradient G = t(X) %*% (P - Y1) + lambda*W.
 		g := engine.Local(engine.TMatMul(x, p.Sub(yOne)))
@@ -145,8 +146,9 @@ func (s *cgState) step(hv *matrix.Dense, lambda float64) {
 func (m *MLogRegResult) Predict(x engine.Mat) (out *matrix.Dense, err error) {
 	defer engine.Guard(&err)
 	scores := engine.MatMul(x, m.Weights)
-	pred := engine.Local(engine.RowIndexMax(scores))
-	engine.Free(scores)
+	idx := engine.RowIndexMax(scores)
+	pred := engine.Local(idx)
+	engine.Free(scores, idx)
 	return pred, nil
 }
 

@@ -90,14 +90,16 @@ func Local(a Mat) *matrix.Dense {
 	}
 }
 
-// Free releases worker-side partitions of federated intermediates; it is a
-// no-op for local matrices.
+// Free releases worker-side partitions of federated intermediates, with one
+// rmvar batch per worker for all of them; local matrices are skipped.
 func Free(ms ...Mat) {
+	var fs []*federated.Matrix
 	for _, a := range ms {
 		if f, ok := a.(*federated.Matrix); ok {
-			_ = f.Free()
+			fs = append(fs, f)
 		}
 	}
+	_ = federated.Free(fs...)
 }
 
 // MatMul computes a %*% b. Federated left inputs keep the product federated
@@ -136,7 +138,7 @@ func TMatMul(a, b Mat) Mat {
 	}
 	switch x := a.(type) {
 	case *matrix.Dense:
-		return x.Transpose().MatMul(Local(b))
+		return x.TMatMul(Local(b))
 	case *federated.Matrix:
 		if fb, ok := b.(*federated.Matrix); ok {
 			return must(x.AlignedTMM(fb))

@@ -6,6 +6,8 @@ import (
 	"testing"
 	"time"
 
+	"exdra/internal/algo"
+	"exdra/internal/engine"
 	"exdra/internal/federated"
 	"exdra/internal/fedrpc"
 	"exdra/internal/fedtest"
@@ -284,4 +286,84 @@ func TestMMChainMultiColumnUnevenPartitions(t *testing.T) {
 	if _, err := fx.MMChain(v, randMat(48, 31, 2)); err == nil {
 		t.Fatal("mmchain accepted w with a different column count than v")
 	}
+}
+
+// TestFanOutFreeBatchesPerWorker pins the batched engine.Free: freeing
+// five federated matrices over three workers sends one rmvar batch per
+// worker, all in parallel, so it finishes in under two round trips where a
+// round trip per matrix takes five.
+func TestFanOutFreeBatchesPerWorker(t *testing.T) {
+	cl := startFanOutCluster(t)
+	var ms []engine.Mat
+	distribute := func() error {
+		ms = ms[:0]
+		for i := 0; i < 5; i++ {
+			fx, err := federated.Distribute(cl.Coord, randMat(int64(50+i), 30, 3), cl.Addrs, federated.RowPartitioned, privacy.Public)
+			if err != nil {
+				return err
+			}
+			ms = append(ms, fx)
+		}
+		return nil
+	}
+	if err := distribute(); err != nil {
+		t.Fatal(err)
+	}
+	free := func() error {
+		engine.Free(ms...)
+		for i, w := range cl.Workers {
+			if n := w.NumObjects(); n != 0 {
+				return fmt.Errorf("worker %d holds %d objects after Free", i, n)
+			}
+		}
+		return nil
+	}
+	if d := fastestOf(t, free, distribute); d >= 2*fanOutRTT {
+		t.Errorf("Free of 5 matrices over 3 workers took %v, want under 2 RTTs (%v)", d, 2*fanOutRTT)
+	}
+}
+
+// TestFanOutAlgorithmsFreeIntermediates checks that MLogReg with Predict
+// and KMeans with Assign leave nothing behind at the workers on a
+// standalone coordinator: each worker's symbol table holds only X's
+// partition afterwards.
+func TestFanOutAlgorithmsFreeIntermediates(t *testing.T) {
+	cl, err := fedtest.Start(fedtest.Config{Workers: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	x := randMat(61, 60, 4)
+	y := matrix.NewDense(60, 1)
+	for i := 0; i < 60; i++ {
+		y.Set(i, 0, float64(1+i%3))
+	}
+	fx, err := federated.Distribute(cl.Coord, x, cl.Addrs, federated.RowPartitioned, privacy.Public)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertOnlyX := func(what string) {
+		t.Helper()
+		for i, w := range cl.Workers {
+			if n := w.NumObjects(); n != 1 {
+				t.Errorf("%s: worker %d holds %d objects, want only X's partition", what, i, n)
+			}
+		}
+	}
+	res, err := algo.MLogReg(fx, y, algo.MLogRegConfig{MaxOuterIter: 2, MaxInnerIter: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := res.Predict(fx); err != nil {
+		t.Fatal(err)
+	}
+	assertOnlyX("MLogReg+Predict")
+	km, err := algo.KMeans(fx, algo.KMeansConfig{K: 3, MaxIterations: 3, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := km.Assign(fx); err != nil {
+		t.Fatal(err)
+	}
+	assertOnlyX("KMeans+Assign")
 }

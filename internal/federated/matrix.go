@@ -207,10 +207,33 @@ func (m *Matrix) Consolidate() (*matrix.Dense, error) {
 
 // Free releases the worker-side partitions of this federated matrix
 // (rmvar), keeping the workers' memory bounded across long sessions.
-func (m *Matrix) Free() error {
-	_, err := m.c.parallelCall(m.fm.Partitions, func(i int, p Partition) []fedrpc.Request {
+func (m *Matrix) Free() error { return Free(m) }
+
+// Free releases the worker-side partitions of every matrix in ms with one
+// rmvar batch per worker naming all of that worker's partitions, the
+// workers in parallel: freeing k matrices costs one round trip, not k. The
+// matrices must belong to one coordinator.
+func Free(ms ...*Matrix) error {
+	if len(ms) == 0 {
+		return nil
+	}
+	c := ms[0].c
+	var parts []Partition // one per worker address, in first-seen order
+	ids := map[string][]int64{}
+	for _, m := range ms {
+		if m.c != c {
+			return fmt.Errorf("federated: free of matrices from different coordinators")
+		}
+		for _, p := range m.fm.Partitions {
+			if _, ok := ids[p.Addr]; !ok {
+				parts = append(parts, Partition{Addr: p.Addr})
+			}
+			ids[p.Addr] = append(ids[p.Addr], p.DataID)
+		}
+	}
+	_, err := c.parallelCall(parts, func(_ int, p Partition) []fedrpc.Request {
 		return []fedrpc.Request{{Type: fedrpc.ExecInst, Inst: &fedrpc.Instruction{
-			Opcode: "rmvar", Inputs: []int64{p.DataID},
+			Opcode: "rmvar", Inputs: ids[p.Addr],
 		}}}
 	})
 	return err

@@ -121,21 +121,43 @@ func (m *Dense) RowAgg(op AggOp) *Dense {
 	return out
 }
 
-// ColAgg aggregates each column, returning a 1 x cols vector.
+// ColAgg aggregates each column, returning a 1 x cols vector. It reduces
+// the ColPartials tuple, so every op shares the one column pass.
 func (m *Dense) ColAgg(op AggOp) *Dense {
-	states := make([]aggState, m.cols)
-	for j := range states {
-		states[j] = newAggState()
+	p := m.ColPartials()
+	c := m.cols
+	out := NewDense(1, c)
+	for j := range out.data {
+		s := aggState{sum: p.data[j], sumSq: p.data[c+j], mn: p.data[2*c+j], mx: p.data[3*c+j], n: m.rows}
+		out.data[j] = s.result(op)
+	}
+	return out
+}
+
+// ColPartials returns the 5 x cols partial column aggregates, one row each
+// for (sum, sumsq, min, max, count) — the tuple the coordinator merges with
+// CombinePartialAggs. It makes one row-major pass with the four
+// accumulators held as separate contiguous rows, and every column sums its
+// rows in ascending order.
+func (m *Dense) ColPartials() *Dense {
+	c := m.cols
+	out := NewDense(5, c)
+	sum, sumSq := out.data[:c], out.data[c:2*c]
+	mn, mx, cnt := out.data[2*c:3*c], out.data[3*c:4*c], out.data[4*c:]
+	for j := range mn {
+		mn[j], mx[j], cnt[j] = math.Inf(1), math.Inf(-1), float64(m.rows)
 	}
 	for i := 0; i < m.rows; i++ {
-		row := m.Row(i)
-		for j, v := range row {
-			states[j].add(v)
+		for j, v := range m.Row(i) {
+			sum[j] += v
+			sumSq[j] += v * v
+			if v < mn[j] {
+				mn[j] = v
+			}
+			if v > mx[j] {
+				mx[j] = v
+			}
 		}
-	}
-	out := NewDense(1, m.cols)
-	for j := range states {
-		out.data[j] = states[j].result(op)
 	}
 	return out
 }

@@ -102,31 +102,20 @@ func (m *Dense) Binary(op BinaryOp, b *Dense) *Dense {
 	switch {
 	case b.rows == m.rows && b.cols == m.cols:
 		parallelFor(len(m.data), 1, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				out.data[i] = op.apply(m.data[i], b.data[i])
-			}
+			op.applyVV(out.data[lo:hi], m.data[lo:hi], b.data[lo:hi])
 		})
 	case b.rows == 1 && b.cols == 1:
 		return m.BinaryScalar(op, b.data[0], false)
 	case b.rows == m.rows && b.cols == 1: // column-vector broadcast
 		parallelFor(m.rows, m.cols, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
-				v := b.data[i]
-				row := m.Row(i)
-				orow := out.Row(i)
-				for j, a := range row {
-					orow[j] = op.apply(a, v)
-				}
+				op.applyVS(out.Row(i), m.Row(i), b.data[i])
 			}
 		})
 	case b.rows == 1 && b.cols == m.cols: // row-vector broadcast
 		parallelFor(m.rows, m.cols, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
-				row := m.Row(i)
-				orow := out.Row(i)
-				for j, a := range row {
-					orow[j] = op.apply(a, b.data[j])
-				}
+				op.applyVV(out.Row(i), m.Row(i), b.data)
 			}
 		})
 	default:
@@ -142,16 +131,147 @@ func (m *Dense) BinaryScalar(op BinaryOp, s float64, swap bool) *Dense {
 	out := NewDense(m.rows, m.cols)
 	parallelFor(len(m.data), 1, func(lo, hi int) {
 		if swap {
-			for i := lo; i < hi; i++ {
-				out.data[i] = op.apply(s, m.data[i])
-			}
+			op.applySV(out.data[lo:hi], s, m.data[lo:hi])
 		} else {
-			for i := lo; i < hi; i++ {
-				out.data[i] = op.apply(m.data[i], s)
-			}
+			op.applyVS(out.data[lo:hi], m.data[lo:hi], s)
 		}
 	})
 	return out
+}
+
+// The apply loops below hoist the op switch out of the cell loop: each
+// common op (+ - * / min max) runs as one tight loop over a contiguous
+// slice, and every other op falls back to apply per cell.
+
+// applyVV sets out[i] = a[i] op b[i].
+func (op BinaryOp) applyVV(out, a, b []float64) {
+	out, b = out[:len(a)], b[:len(a)]
+	switch op {
+	case OpAdd:
+		for i, x := range a {
+			out[i] = x + b[i]
+		}
+	case OpSub:
+		for i, x := range a {
+			out[i] = x - b[i]
+		}
+	case OpMul:
+		for i, x := range a {
+			out[i] = x * b[i]
+		}
+	case OpDiv:
+		for i, x := range a {
+			out[i] = x / b[i]
+		}
+	case OpMin:
+		for i, x := range a {
+			out[i] = fmin(x, b[i])
+		}
+	case OpMax:
+		for i, x := range a {
+			out[i] = fmax(x, b[i])
+		}
+	default:
+		for i, x := range a {
+			out[i] = op.apply(x, b[i])
+		}
+	}
+}
+
+// applyVS sets out[i] = a[i] op s.
+func (op BinaryOp) applyVS(out, a []float64, s float64) {
+	out = out[:len(a)]
+	switch op {
+	case OpAdd:
+		for i, x := range a {
+			out[i] = x + s
+		}
+	case OpSub:
+		for i, x := range a {
+			out[i] = x - s
+		}
+	case OpMul:
+		for i, x := range a {
+			out[i] = x * s
+		}
+	case OpDiv:
+		for i, x := range a {
+			out[i] = x / s
+		}
+	case OpMin:
+		for i, x := range a {
+			out[i] = fmin(x, s)
+		}
+	case OpMax:
+		for i, x := range a {
+			out[i] = fmax(x, s)
+		}
+	default:
+		for i, x := range a {
+			out[i] = op.apply(x, s)
+		}
+	}
+}
+
+// applySV sets out[i] = s op b[i].
+func (op BinaryOp) applySV(out []float64, s float64, b []float64) {
+	out = out[:len(b)]
+	switch op {
+	case OpAdd:
+		for i, x := range b {
+			out[i] = s + x
+		}
+	case OpSub:
+		for i, x := range b {
+			out[i] = s - x
+		}
+	case OpMul:
+		for i, x := range b {
+			out[i] = s * x
+		}
+	case OpDiv:
+		for i, x := range b {
+			out[i] = s / x
+		}
+	case OpMin:
+		for i, x := range b {
+			out[i] = fmin(s, x)
+		}
+	case OpMax:
+		for i, x := range b {
+			out[i] = fmax(s, x)
+		}
+	default:
+		for i, x := range b {
+			out[i] = op.apply(s, x)
+		}
+	}
+}
+
+// fmin equals math.Min but inlines the strictly ordered case. Ties (signed
+// zeros) and unordered pairs (NaN) take math.Min itself, whose special
+// cases differ from the builtin min: math.Min(-Inf, NaN) is -Inf.
+func fmin(a, b float64) float64 {
+	if a < b {
+		return a
+	}
+	if b < a {
+		return b
+	}
+	return math.Min(a, b)
+}
+
+// fmax equals math.Max but inlines the strictly ordered case. Ties (signed
+// zeros) and unordered pairs (NaN) take math.Max itself, whose special
+// cases differ from the builtin max: math.Max(+Inf, NaN) is +Inf.
+func fmax(a, b float64) float64 {
+	if a > b {
+		return a
+	}
+	if b > a {
+		return b
+	}
+	return math.Max(a, b)
 }
 
 // Convenience wrappers for the most common binary operations.

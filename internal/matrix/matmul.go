@@ -43,6 +43,36 @@ func (m *Dense) MatMul(b *Dense) *Dense {
 	return out
 }
 
+// TMatMul returns t(m) %*% b without materializing t(m). It is
+// parallelized over bands of output rows (columns of m); each output cell
+// accumulates over the rows of m in ascending order and skips zero cells
+// of m as MatMul does, so the result is bitwise equal to MatMul on the
+// materialized transpose.
+func (m *Dense) TMatMul(b *Dense) *Dense {
+	if m.rows != b.rows {
+		panic(fmt.Sprintf("matrix: tmatmul shape mismatch t(%dx%d) %%*%% %dx%d",
+			m.rows, m.cols, b.rows, b.cols))
+	}
+	n, k, p := m.rows, m.cols, b.cols
+	out := NewDense(k, p)
+	parallelFor(k, n*p, func(lo, hi int) {
+		for r := 0; r < n; r++ {
+			arow := m.data[r*k+lo : r*k+hi]
+			brow := b.data[r*p : (r+1)*p]
+			for i, a := range arow {
+				if a == 0 {
+					continue
+				}
+				orow := out.data[(lo+i)*p : (lo+i+1)*p]
+				for j, bv := range brow {
+					orow[j] += a * bv
+				}
+			}
+		}
+	})
+	return out
+}
+
 // TSMM returns the transpose-self matrix multiplication t(m) %*% m,
 // exploiting symmetry of the result.
 func (m *Dense) TSMM() *Dense {

@@ -282,7 +282,7 @@ func (w *Worker) execInst(inst *fedrpc.Instruction) (*matrix.Dense, privacy.Leve
 		if err != nil {
 			return nil, 0, err
 		}
-		return aggregating(a.Transpose().MatMul(b), nil)
+		return aggregating(a.TMatMul(b), nil)
 
 	case "t":
 		a, err := w.Matrix(inst.Inputs[0])
@@ -305,14 +305,7 @@ func (w *Worker) execInst(inst *fedrpc.Instruction) (*matrix.Dense, privacy.Leve
 		if err != nil {
 			return nil, 0, err
 		}
-		out := matrix.RBind(
-			a.ColAgg(matrix.AggSum),
-			a.ColAgg(matrix.AggSumSq),
-			a.ColAgg(matrix.AggMin),
-			a.ColAgg(matrix.AggMax),
-			matrix.Fill(1, a.Cols(), float64(a.Rows())),
-		)
-		return aggregating(out, nil)
+		return aggregating(a.ColPartials(), nil)
 
 	case "softmax":
 		a, err := w.Matrix(inst.Inputs[0])
