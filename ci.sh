@@ -16,7 +16,10 @@
 #                      exactly where data races hide, so these never run
 #                      from cache (the pattern also covers the restart and
 #                      health-probing suites: Restart|Health|Epoch|...,
-#                      and the concurrent per-worker fan-outs: FanOut);
+#                      the concurrent per-worker fan-outs: FanOut, and the
+#                      deferred-instruction queue and its flushes, whose
+#                      per-address in-flight lock orders concurrent
+#                      batches: Deferred|Take);
 #   7. obs tests     — the observability suites (metrics registry, RPC
 #                      spans, concurrent Stats/snapshot reads) re-run
 #                      uncached under -race for the same reason;
@@ -60,7 +63,7 @@ go vet ./...
 go run ./cmd/exdralint -json ./... | go run ./cmd/lintfmt
 go test -race ./...
 go test -race -count=1 \
-  -run 'Reset|Retry|Redial|Fault|Fail|Stall|Drop|Broken|Timeout|Restart|Health|Epoch|Recover|Replay|Closed|Unrecover|CreationLog|Chaos|Deadline|Breaker|Cancel|Queued|Truncation|Corrupt|Session|Admission|Drain|Reap|Namespace|MaxConns|Pool|Pipeline|Window|Tag|Lockstep|OutOfOrder|Duplicate|Reclaim|FanOut' \
+  -run 'Reset|Retry|Redial|Fault|Fail|Stall|Drop|Broken|Timeout|Restart|Health|Epoch|Recover|Replay|Closed|Unrecover|CreationLog|Chaos|Deadline|Breaker|Cancel|Queued|Truncation|Corrupt|Session|Admission|Drain|Reap|Namespace|MaxConns|Pool|Pipeline|Window|Tag|Lockstep|OutOfOrder|Duplicate|Reclaim|FanOut|Deferred|Take' \
   ./internal/netem/ ./internal/fedrpc/ ./internal/federated/ ./internal/fedtest/ ./internal/worker/ ./internal/fedserve/
 go test -race -count=1 \
   -run 'Metrics|Span|Histogram|Snapshot|Slow|Instrument|Stats|Breakdown' \

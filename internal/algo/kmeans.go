@@ -168,7 +168,5 @@ func (m *KMeansResult) Assign(x engine.Mat) (out *matrix.Dense, err error) {
 	d := engine.Binary(matrix.OpAdd, xc2, cs)
 	neg := engine.Scale(d, -1) // argmin distance = argmax of negated
 	idx := engine.RowIndexMax(neg)
-	assign := engine.Local(idx)
-	engine.Free(xc, xc2, d, neg, idx)
-	return assign, nil
+	return engine.Take(idx, xc, xc2, d, neg), nil
 }

@@ -1,6 +1,9 @@
 package algo
 
 import (
+	"fmt"
+	"math"
+
 	"exdra/internal/engine"
 	"exdra/internal/matrix"
 )
@@ -50,6 +53,14 @@ func MLogReg(x engine.Mat, y *matrix.Dense, cfg MLogRegConfig) (res *MLogRegResu
 		k = int(y.Max())
 	}
 	n, d := x.Rows(), x.Cols()
+	if y.Rows() != n || y.Cols() != 1 {
+		return nil, fmt.Errorf("algo: mlogreg labels are %dx%d, want %dx1", y.Rows(), y.Cols(), n)
+	}
+	for i := 0; i < n; i++ {
+		if l := y.At(i, 0); l != math.Trunc(l) || l < 1 || l > float64(k) {
+			return nil, fmt.Errorf("algo: mlogreg label %v at row %d is not a class in [1, %d]", l, i, k)
+		}
+	}
 	w := matrix.NewDense(d, k)
 
 	// One-hot targets at the coordinator.
@@ -62,11 +73,12 @@ func MLogReg(x engine.Mat, y *matrix.Dense, cfg MLogRegConfig) (res *MLogRegResu
 	for ; outer < maxOuter; outer++ {
 		// Class probabilities P = softmax(X %*% W): the product stays
 		// federated; the per-class columns consolidate as aggregates only
-		// via the gradient below.
+		// via the gradient below. On federated X the product and softmax
+		// are queued and travel with Take's fetch-and-free batch: one
+		// round trip per worker.
 		xw := engine.MatMul(x, w)
 		sm := engine.Softmax(xw)
-		p := engine.Local(sm)
-		engine.Free(xw, sm)
+		p := engine.Take(sm, xw)
 
 		// Gradient G = t(X) %*% (P - Y1) + lambda*W.
 		g := engine.Local(engine.TMatMul(x, p.Sub(yOne)))
@@ -147,9 +159,7 @@ func (m *MLogRegResult) Predict(x engine.Mat) (out *matrix.Dense, err error) {
 	defer engine.Guard(&err)
 	scores := engine.MatMul(x, m.Weights)
 	idx := engine.RowIndexMax(scores)
-	pred := engine.Local(idx)
-	engine.Free(scores, idx)
-	return pred, nil
+	return engine.Take(idx, scores), nil
 }
 
 // ClassAccuracy computes the fraction of exact class matches for 1-based

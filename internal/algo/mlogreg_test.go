@@ -3,6 +3,7 @@ package algo_test
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"exdra/internal/algo"
@@ -121,6 +122,26 @@ func TestMLogRegLockstepMatchesPerClassLoop(t *testing.T) {
 						t.Fatalf("%s: weight %d = %v, per-class loop gives %v", name, i, got.Weights.Data()[i], v)
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestMLogRegRejectsInvalidLabels checks that a label that is not an
+// integer class in [1, k] fails with an error naming its row and value,
+// instead of corrupting the one-hot targets or panicking.
+func TestMLogRegRejectsInvalidLabels(t *testing.T) {
+	x := matrix.Fill(4, 2, 1)
+	for _, row := range []int{0, 2} {
+		for _, bad := range []float64{0, 4, 1.5} {
+			y := matrix.NewDense(4, 1)
+			for i := 0; i < 4; i++ {
+				y.Set(i, 0, float64(1+i%3))
+			}
+			y.Set(row, 0, bad)
+			_, err := algo.MLogReg(x, y, algo.MLogRegConfig{Classes: 3, MaxOuterIter: 1})
+			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("label %v at row %d", bad, row)) {
+				t.Errorf("label %v at row %d: error %v, want one naming the row and the value", bad, row, err)
 			}
 		}
 	}

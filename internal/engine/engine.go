@@ -91,15 +91,46 @@ func Local(a Mat) *matrix.Dense {
 }
 
 // Free releases worker-side partitions of federated intermediates, with one
-// rmvar batch per worker for all of them; local matrices are skipped.
+// rmvar batch per worker and coordinator for all of them; local matrices
+// are skipped. It is best-effort: a worker that cannot be reached drops
+// the objects at its session's CLEAR instead.
 func Free(ms ...Mat) {
-	var fs []*federated.Matrix
+	for _, fs := range byCoordinator(ms) {
+		_ = federated.Free(fs...)
+	}
+}
+
+// Take returns a local copy of a, like Local, and releases the worker-side
+// partitions of a and of free. For a federated a the fetch and the release
+// share one batch per worker (federated.Take); free matrices of other
+// coordinators are released as by Free.
+func Take(a Mat, free ...Mat) *matrix.Dense {
+	m, ok := a.(*federated.Matrix)
+	if !ok {
+		out := Local(a)
+		Free(free...)
+		return out
+	}
+	groups := byCoordinator(free)
+	same := groups[m.Coordinator()]
+	delete(groups, m.Coordinator())
+	out, err := federated.Take(m, same...)
+	for _, fs := range groups {
+		_ = federated.Free(fs...)
+	}
+	return must(out, err)
+}
+
+// byCoordinator groups the federated matrices among ms by the coordinator
+// that owns them.
+func byCoordinator(ms []Mat) map[*federated.Coordinator][]*federated.Matrix {
+	groups := map[*federated.Coordinator][]*federated.Matrix{}
 	for _, a := range ms {
 		if f, ok := a.(*federated.Matrix); ok {
-			fs = append(fs, f)
+			groups[f.Coordinator()] = append(groups[f.Coordinator()], f)
 		}
 	}
-	_ = federated.Free(fs...)
+	return groups
 }
 
 // MatMul computes a %*% b. Federated left inputs keep the product federated

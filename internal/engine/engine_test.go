@@ -156,3 +156,41 @@ func TestFreeIsNoopForLocal(t *testing.T) {
 	x := matrix.Fill(2, 2, 1)
 	engine.Free(x) // must not panic
 }
+
+// TestFreeAcrossCoordinators frees matrices of two standalone coordinators,
+// each over its own workers, in one call: every coordinator's group is
+// freed, one batch per worker.
+func TestFreeAcrossCoordinators(t *testing.T) {
+	cl, cl2 := cluster(t), cluster(t)
+	a := fed(t, cl, matrix.Fill(4, 2, 1), privacy.Public)
+	b := fed(t, cl2, matrix.Fill(4, 2, 2), privacy.Public)
+	c := fed(t, cl, matrix.Fill(4, 2, 3), privacy.Public)
+	engine.Free(a, b, matrix.Fill(1, 1, 0), c)
+	for i, w := range append(cl.Workers, cl2.Workers...) {
+		if n := w.NumObjects(); n != 0 {
+			t.Errorf("worker %d holds %d objects after freeing across coordinators", i, n)
+		}
+	}
+}
+
+// TestTakeAcrossCoordinators takes a matrix while freeing intermediates of
+// its own coordinator and of another one.
+func TestTakeAcrossCoordinators(t *testing.T) {
+	cl, cl2 := cluster(t), cluster(t)
+	x := matrix.Fill(4, 2, 5)
+	a := fed(t, cl, x, privacy.Public)
+	b := fed(t, cl2, x, privacy.Public)
+	doubled := engine.Scale(a, 2)
+	got := engine.Take(doubled, a, b)
+	if !got.EqualApprox(x.BinaryScalar(matrix.OpMul, 2, false), 0) {
+		t.Fatal("Take returned the wrong matrix")
+	}
+	for i, w := range append(cl.Workers, cl2.Workers...) {
+		if n := w.NumObjects(); n != 0 {
+			t.Errorf("worker %d holds %d objects after Take", i, n)
+		}
+	}
+	if got := engine.Take(x, matrix.Fill(1, 1, 0)); got != x {
+		t.Fatal("Take of a local matrix is not the identity")
+	}
+}

@@ -18,7 +18,7 @@ func (m *Matrix) AggFull(op matrix.AggOp) (float64, error) {
 			{Type: fedrpc.ExecInst, Inst: &fedrpc.Instruction{
 				Opcode: "ua_partial", Inputs: []int64{p.DataID}, Output: oid}},
 			{Type: fedrpc.Get, ID: oid},
-			{Type: fedrpc.ExecInst, Inst: &fedrpc.Instruction{Opcode: "rmvar", Inputs: []int64{oid}}},
+			rmvar(oid),
 		}
 	})
 	if err != nil {
@@ -44,7 +44,7 @@ func (m *Matrix) RowAgg(op matrix.AggOp) (*Matrix, *matrix.Dense, error) {
 	switch m.Scheme() {
 	case RowPartitioned:
 		outIDs := m.newIDs()
-		_, err := m.c.parallelCall(m.fm.Partitions, func(i int, p Partition) []fedrpc.Request {
+		err := m.c.enqueue("RowAgg", m.fm.Partitions, func(i int, p Partition) []fedrpc.Request {
 			return []fedrpc.Request{
 				{Type: fedrpc.ExecInst, Inst: &fedrpc.Instruction{
 					Opcode: "uar_" + op.String(), Inputs: []int64{p.DataID}, Output: outIDs[i]}},
@@ -81,7 +81,7 @@ func (m *Matrix) colPartRowAgg(op matrix.AggOp) (*matrix.Dense, error) {
 			{Type: fedrpc.ExecInst, Inst: &fedrpc.Instruction{
 				Opcode: "uac_partial", Inputs: []int64{tid}, Output: oid}},
 			{Type: fedrpc.Get, ID: oid},
-			{Type: fedrpc.ExecInst, Inst: &fedrpc.Instruction{Opcode: "rmvar", Inputs: []int64{tid, oid}}},
+			rmvar(tid, oid),
 		}
 	})
 	if err != nil {
@@ -104,7 +104,7 @@ func (m *Matrix) ColAgg(op matrix.AggOp) (*Matrix, *matrix.Dense, error) {
 				{Type: fedrpc.ExecInst, Inst: &fedrpc.Instruction{
 					Opcode: "uac_partial", Inputs: []int64{p.DataID}, Output: oid}},
 				{Type: fedrpc.Get, ID: oid},
-				{Type: fedrpc.ExecInst, Inst: &fedrpc.Instruction{Opcode: "rmvar", Inputs: []int64{oid}}},
+				rmvar(oid),
 			}
 		})
 		if err != nil {
@@ -122,7 +122,7 @@ func (m *Matrix) ColAgg(op matrix.AggOp) (*Matrix, *matrix.Dense, error) {
 		// vector and transposes it to the 1 x colrange map shape in the
 		// same batch.
 		outIDs := m.newIDs()
-		_, err := m.c.parallelCall(m.fm.Partitions, func(i int, p Partition) []fedrpc.Request {
+		err := m.c.enqueue("ColAgg", m.fm.Partitions, func(i int, p Partition) []fedrpc.Request {
 			tid, aid := m.c.NewID(), m.c.NewID()
 			return []fedrpc.Request{
 				{Type: fedrpc.ExecInst, Inst: &fedrpc.Instruction{
@@ -131,7 +131,7 @@ func (m *Matrix) ColAgg(op matrix.AggOp) (*Matrix, *matrix.Dense, error) {
 					Opcode: "uar_" + op.String(), Inputs: []int64{tid}, Output: aid}},
 				{Type: fedrpc.ExecInst, Inst: &fedrpc.Instruction{
 					Opcode: "t", Inputs: []int64{aid}, Output: outIDs[i]}},
-				{Type: fedrpc.ExecInst, Inst: &fedrpc.Instruction{Opcode: "rmvar", Inputs: []int64{tid, aid}}},
+				rmvar(tid, aid),
 			}
 		})
 		if err != nil {
@@ -176,7 +176,7 @@ func (m *Matrix) RowIndexMax() (*Matrix, error) {
 		return nil, fmt.Errorf("federated: rowIndexMax requires row partitioning")
 	}
 	outIDs := m.newIDs()
-	_, err := m.c.parallelCall(m.fm.Partitions, func(i int, p Partition) []fedrpc.Request {
+	err := m.c.enqueue("RowIndexMax", m.fm.Partitions, func(i int, p Partition) []fedrpc.Request {
 		return []fedrpc.Request{
 			{Type: fedrpc.ExecInst, Inst: &fedrpc.Instruction{
 				Opcode: "uar_indexmax", Inputs: []int64{p.DataID}, Output: outIDs[i]}},
@@ -220,7 +220,7 @@ func (m *Matrix) Slice(rowBeg, rowEnd, colBeg, colEnd int) (*Matrix, error) {
 	for i := range outIDs {
 		outIDs[i] = m.c.NewID()
 	}
-	_, err := m.c.parallelCall(parts, func(i int, p Partition) []fedrpc.Request {
+	err := m.c.enqueue("Slice", parts, func(i int, p Partition) []fedrpc.Request {
 		rel := rels[i]
 		return []fedrpc.Request{
 			{Type: fedrpc.ExecInst, Inst: &fedrpc.Instruction{

@@ -95,6 +95,11 @@ type Coordinator struct {
 	rngMu sync.Mutex
 	rng   *rand.Rand // jitter source; guarded by rngMu
 
+	// Deferred instructions (deferred.go): one FIFO of queued requests
+	// per worker address, carried by the address's next batch.
+	qmu    sync.Mutex
+	queues map[string]*addrQueue // guarded by qmu
+
 	// Restart-recovery state (recovery.go): the creation log per worker
 	// address behind recMu, plus the health prober's join handle and the
 	// observability counters behind Stats().
@@ -130,6 +135,7 @@ func newCoordinator(f *Fleet, ownFleet bool, ns int64) *Coordinator {
 		ns:       ns,
 		touched:  map[string]struct{}{},
 		states:   map[string]*workerState{},
+		queues:   map[string]*addrQueue{},
 		done:     make(chan struct{}),
 		rng:      rand.New(rand.NewSource(0)),
 		reg:      f.reg,
@@ -188,7 +194,9 @@ func (c *Coordinator) pool(addr string) (*fedrpc.Pool, error) {
 // fleet pool's first client, lazily dialed). Cleanup sweeps and legacy
 // single-connection callers use it; the retry loop checks whole
 // connections out of the pool instead (attemptCall), so those callers do
-// not serialize behind this one client's exchange lock.
+// not serialize behind this one client's exchange lock. Its traffic
+// bypasses the deferred-request queue: it may name only objects that a
+// completed call created.
 func (c *Coordinator) Client(addr string) (*fedrpc.Client, error) {
 	pl, err := c.pool(addr)
 	if err != nil {
@@ -213,15 +221,24 @@ func (c *Coordinator) Client(addr string) (*fedrpc.Client, error) {
 // disabled, a detected restart under a batch that did not fully succeed
 // fails fast with ErrWorkerRestarted: retrying against an empty symbol
 // table could only produce misleading "unknown object" noise.
+//
+// The batch carries addr's deferred requests as its prefix (send); when
+// the call fails, the outputs of the queued requests it carried are
+// reclaimed like those of an aborted parallelCall.
 func (c *Coordinator) call(addr string, reqs []fedrpc.Request) ([]fedrpc.Response, error) {
-	return c.callCtx(context.Background(), addr, reqs)
+	resps, carried, err := c.send(context.Background(), addr, reqs)
+	if err != nil && len(carried) > 0 {
+		c.cleanupPartial([]Partition{{Addr: addr}}, [][]fedrpc.Request{requests(carried)})
+	}
+	return resps, err
 }
 
 // Call issues one request batch to addr through the session's retry,
 // breaker, and recovery machinery — the same funnel every built-in
 // federated operation uses. Callers composing their own operations (the
 // service layer, tests) use it instead of raw clients so their traffic
-// feeds the creation log and the worker's breaker like everything else.
+// feeds the creation log and the worker's breaker like everything else,
+// and so it follows the address's deferred requests, which it carries.
 func (c *Coordinator) Call(addr string, reqs ...fedrpc.Request) ([]fedrpc.Response, error) {
 	return c.call(addr, reqs)
 }
@@ -454,9 +471,7 @@ func (c *Coordinator) ExecUDF(addr string, call *fedrpc.UDFCall) (fedrpc.Payload
 			// rmvar of a never-bound ID is a no-op at the worker, so the
 			// sweep is safe whether or not the UDF ran before the fault.
 			if cl, cerr := c.Client(addr); cerr == nil {
-				_, _ = cl.Call(fedrpc.Request{Type: fedrpc.ExecInst, Inst: &fedrpc.Instruction{
-					Opcode: "rmvar", Inputs: []int64{call.Output},
-				}})
+				_, _ = cl.Call(rmvar(call.Output))
 			}
 		}
 		return fedrpc.Payload{}, err
@@ -526,7 +541,11 @@ func (c *Coordinator) touchedAddrs() []string {
 // is 0, which keeps the old clear-everything semantics. Every worker is
 // cleared even when some fail; the first failing address's error is
 // returned.
+//
+// Queued requests are dropped unsent: the CLEAR removes whatever they would
+// have bound.
 func (c *Coordinator) ClearAll() error {
+	c.dropQueues()
 	addrs := c.touchedAddrs()
 	parts := make([]Partition, len(addrs))
 	for i, addr := range addrs {
@@ -561,50 +580,58 @@ func (c *Coordinator) Close() {
 
 // parallelCall issues, for each partition, the request batch produced by
 // build, in parallel across workers, and returns the responses in partition
-// order. Any transport or per-request failure aborts with the error of the
+// order. Each batch carries its address's deferred requests as a prefix
+// (send). Any transport or per-request failure aborts with the error of the
 // lowest-indexed failing partition (deterministic reporting regardless of
 // goroutine completion order); before returning, worker-side objects that
 // the aborted operation had already created on other partitions are
 // reclaimed best-effort, so a failed federated operation does not leak
-// PUT/READ/output bindings.
+// PUT/READ/output bindings. When a batch's prefix failed or its fate is
+// unknown (a transport failure), the outputs of every queued request the
+// call carried are reclaimed too; when only the operation's own requests
+// failed, the queued outputs are live objects and stay.
 func (c *Coordinator) parallelCall(parts []Partition, build func(i int, p Partition) []fedrpc.Request) ([][]fedrpc.Response, error) {
 	type job struct {
-		reqs  []fedrpc.Request
-		resps []fedrpc.Response
-		err   error
+		reqs    []fedrpc.Request
+		carried []queued
+		resps   []fedrpc.Response
+		err     error
+		sendErr bool // err came from send: the prefix did not certainly succeed
 	}
 	jobs := make([]job, len(parts))
 	results := make(chan int, len(parts))
 	for i, p := range parts {
 		jobs[i].reqs = build(i, p)
 		go func(i int, p Partition) {
-			resps, err := c.callCtx(obs.WithOp(context.Background(), "parallel"), p.Addr, jobs[i].reqs)
-			if err == nil {
-				for ri, r := range resps {
-					if !r.OK {
-						err = requestError(p.Addr, jobs[i].reqs[ri], r)
-						break
-					}
+			j := &jobs[i]
+			j.resps, j.carried, j.err = c.send(obs.WithOp(context.Background(), "parallel"), p.Addr, j.reqs)
+			j.sendErr = j.err != nil
+			for ri, r := range j.resps {
+				if !r.OK {
+					j.err = requestError(p.Addr, j.reqs[ri], r)
+					break
 				}
 			}
-			jobs[i].resps, jobs[i].err = resps, err
 			results <- i
 		}(i, p)
 	}
 	for range parts {
 		<-results
 	}
-	firstErr := -1
+	firstErr, reclaimQueued := -1, false
 	for i := range jobs {
-		if jobs[i].err != nil {
+		if jobs[i].err != nil && firstErr < 0 {
 			firstErr = i
-			break
 		}
+		reclaimQueued = reclaimQueued || jobs[i].sendErr
 	}
 	if firstErr >= 0 {
 		reqs := make([][]fedrpc.Request, len(parts))
 		for i := range jobs {
 			reqs[i] = jobs[i].reqs
+			if reclaimQueued {
+				reqs[i] = append(requests(jobs[i].carried), reqs[i]...)
+			}
 		}
 		c.cleanupPartial(parts, reqs)
 		return nil, jobs[firstErr].err
@@ -635,9 +662,7 @@ func (c *Coordinator) cleanupPartial(parts []Partition, reqs [][]fedrpc.Request)
 			if err != nil {
 				return
 			}
-			_, _ = cl.Call(fedrpc.Request{Type: fedrpc.ExecInst, Inst: &fedrpc.Instruction{
-				Opcode: "rmvar", Inputs: ids,
-			}})
+			_, _ = cl.Call(rmvar(ids...))
 		}(p.Addr, ids)
 	}
 	wg.Wait()

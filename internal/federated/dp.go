@@ -140,7 +140,7 @@ func CTableFed(a, b *Matrix, rowsCap, colsCap int) (*matrix.Dense, error) {
 				Opcode: "ctable", Inputs: []int64{p.DataID, bs[i].DataID}, Output: oid,
 				Scalars: []float64{float64(rowsCap), float64(colsCap)}}},
 			{Type: fedrpc.Get, ID: oid},
-			{Type: fedrpc.ExecInst, Inst: &fedrpc.Instruction{Opcode: "rmvar", Inputs: []int64{oid}}},
+			rmvar(oid),
 		}
 	})
 	if err != nil {

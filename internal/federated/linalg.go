@@ -10,9 +10,12 @@ import (
 // This file implements federated linear algebra (ExDRa §4.2): matrix
 // multiplication variants composed from broadcast / sliced-broadcast PUTs,
 // per-partition EXEC_INSTs, GETs of partial results, and coordinator-side
-// aggregation — exactly the strategies of Example 2 in the paper. Each
-// federated operation is one RPC per worker, issued in parallel, with
-// broadcast intermediates cleaned up via rmvar in the same request batch.
+// aggregation — exactly the strategies of Example 2 in the paper. An
+// operation that reads a result back is one RPC per worker, issued in
+// parallel, with broadcast intermediates cleaned up via rmvar in the same
+// request batch. An operation whose output stays federated (MatVec on row
+// partitions, Transpose) sends nothing: its requests are queued and travel
+// with the worker's next batch (deferred.go).
 
 // MatVec computes X %*% v for local v (matrix-vector, or matrix-matrix with
 // a small right-hand side). For row-partitioned X the full v is broadcast
@@ -27,13 +30,13 @@ func (m *Matrix) MatVec(v *matrix.Dense) (*Matrix, *matrix.Dense, error) {
 	switch m.Scheme() {
 	case RowPartitioned:
 		outIDs := m.newIDs()
-		_, err := m.c.parallelCall(m.fm.Partitions, func(i int, p Partition) []fedrpc.Request {
+		err := m.c.enqueue("MatVec", m.fm.Partitions, func(i int, p Partition) []fedrpc.Request {
 			bid := m.c.NewID()
 			return []fedrpc.Request{
 				{Type: fedrpc.Put, ID: bid, Data: fedrpc.MatrixPayload(v)},
 				{Type: fedrpc.ExecInst, Inst: &fedrpc.Instruction{
 					Opcode: "mm", Inputs: []int64{p.DataID, bid}, Output: outIDs[i]}},
-				{Type: fedrpc.ExecInst, Inst: &fedrpc.Instruction{Opcode: "rmvar", Inputs: []int64{bid}}},
+				rmvar(bid),
 			}
 		})
 		if err != nil {
@@ -52,7 +55,7 @@ func (m *Matrix) MatVec(v *matrix.Dense) (*Matrix, *matrix.Dense, error) {
 				{Type: fedrpc.ExecInst, Inst: &fedrpc.Instruction{
 					Opcode: "mm", Inputs: []int64{p.DataID, bid}, Output: oid}},
 				{Type: fedrpc.Get, ID: oid},
-				{Type: fedrpc.ExecInst, Inst: &fedrpc.Instruction{Opcode: "rmvar", Inputs: []int64{bid, oid}}},
+				rmvar(bid, oid),
 			}
 		})
 		if err != nil {
@@ -86,7 +89,7 @@ func (m *Matrix) TMatVec(b *matrix.Dense) (*matrix.Dense, error) {
 				{Type: fedrpc.ExecInst, Inst: &fedrpc.Instruction{
 					Opcode: "tmm", Inputs: []int64{p.DataID, bid}, Output: oid}},
 				{Type: fedrpc.Get, ID: oid},
-				{Type: fedrpc.ExecInst, Inst: &fedrpc.Instruction{Opcode: "rmvar", Inputs: []int64{bid, oid}}},
+				rmvar(bid, oid),
 			}
 		})
 		if err != nil {
@@ -107,7 +110,7 @@ func (m *Matrix) TMatVec(b *matrix.Dense) (*matrix.Dense, error) {
 				{Type: fedrpc.ExecInst, Inst: &fedrpc.Instruction{
 					Opcode: "tmm", Inputs: []int64{p.DataID, bid}, Output: oid}},
 				{Type: fedrpc.Get, ID: oid},
-				{Type: fedrpc.ExecInst, Inst: &fedrpc.Instruction{Opcode: "rmvar", Inputs: []int64{bid, oid}}},
+				rmvar(bid, oid),
 			}
 		})
 		if err != nil {
@@ -135,7 +138,7 @@ func (m *Matrix) TSMM() (*matrix.Dense, error) {
 			{Type: fedrpc.ExecInst, Inst: &fedrpc.Instruction{
 				Opcode: "tsmm", Inputs: []int64{p.DataID}, Output: oid}},
 			{Type: fedrpc.Get, ID: oid},
-			{Type: fedrpc.ExecInst, Inst: &fedrpc.Instruction{Opcode: "rmvar", Inputs: []int64{oid}}},
+			rmvar(oid),
 		}
 	})
 	if err != nil {
@@ -183,7 +186,7 @@ func (m *Matrix) MMChain(v, w *matrix.Dense) (*matrix.Dense, error) {
 			fedrpc.Request{Type: fedrpc.ExecInst, Inst: &fedrpc.Instruction{
 				Opcode: "mmchain", Inputs: inputs, Output: oid}},
 			fedrpc.Request{Type: fedrpc.Get, ID: oid},
-			fedrpc.Request{Type: fedrpc.ExecInst, Inst: &fedrpc.Instruction{Opcode: "rmvar", Inputs: clean}},
+			rmvar(clean...),
 		)
 		return reqs
 	})
@@ -213,7 +216,7 @@ func (p *Matrix) AlignedTMM(x *Matrix) (*matrix.Dense, error) {
 			{Type: fedrpc.ExecInst, Inst: &fedrpc.Instruction{
 				Opcode: "tmm", Inputs: []int64{pp.DataID, xs[i].DataID}, Output: oid}},
 			{Type: fedrpc.Get, ID: oid},
-			{Type: fedrpc.ExecInst, Inst: &fedrpc.Instruction{Opcode: "rmvar", Inputs: []int64{oid}}},
+			rmvar(oid),
 		}
 	})
 	if err != nil {
@@ -231,7 +234,7 @@ func (p *Matrix) AlignedTMM(x *Matrix) (*matrix.Dense, error) {
 // vice versa.
 func (m *Matrix) Transpose() (*Matrix, error) {
 	outIDs := m.newIDs()
-	_, err := m.c.parallelCall(m.fm.Partitions, func(i int, p Partition) []fedrpc.Request {
+	err := m.c.enqueue("Transpose", m.fm.Partitions, func(i int, p Partition) []fedrpc.Request {
 		return []fedrpc.Request{
 			{Type: fedrpc.ExecInst, Inst: &fedrpc.Instruction{
 				Opcode: "t", Inputs: []int64{p.DataID}, Output: outIDs[i]}},

@@ -184,15 +184,20 @@ func readSites(c *Coordinator, specs []ReadSpec) (FedMap, error) {
 // local matrix — the transparent pin-into-memory path of §4.1. Workers
 // refuse the transfer if it violates privacy constraints.
 func (m *Matrix) Consolidate() (*matrix.Dense, error) {
-	out := matrix.NewDense(m.fm.Rows, m.fm.Cols)
 	resps, err := m.c.parallelCall(m.fm.Partitions, func(i int, p Partition) []fedrpc.Request {
 		return []fedrpc.Request{{Type: fedrpc.Get, ID: p.DataID}}
 	})
 	if err != nil {
 		return nil, err
 	}
+	return m.assemble(func(i int) fedrpc.Payload { return resps[i][0].Data })
+}
+
+// assemble builds the local matrix from one fetched payload per partition.
+func (m *Matrix) assemble(data func(i int) fedrpc.Payload) (*matrix.Dense, error) {
+	out := matrix.NewDense(m.fm.Rows, m.fm.Cols)
 	for i, p := range m.fm.Partitions {
-		part := resps[i][0].Data.Matrix()
+		part := data(i).Matrix()
 		if part == nil {
 			return nil, fmt.Errorf("federated: partition %d returned no matrix", i)
 		}
@@ -203,6 +208,40 @@ func (m *Matrix) Consolidate() (*matrix.Dense, error) {
 		out.SetSlice(p.Range.RowBeg, p.Range.ColBeg, part)
 	}
 	return out, nil
+}
+
+// Take consolidates m like Consolidate and releases the worker-side
+// partitions of m and of every matrix in free in the same batch: one batch
+// per worker holds the GETs of m's partitions there followed by one rmvar
+// of all the worker's partitions. The worker runs every request of a
+// batch, so the rmvar runs even when a GET is refused. The matrices must
+// belong to one coordinator.
+func Take(m *Matrix, free ...*Matrix) (*matrix.Dense, error) {
+	parts, ids, err := byAddr(append([]*Matrix{m}, free...))
+	if err != nil {
+		return nil, err
+	}
+	gets := map[string][]int{} // m's partition indices per worker address
+	for i, p := range m.fm.Partitions {
+		gets[p.Addr] = append(gets[p.Addr], i)
+	}
+	resps, err := m.c.parallelCall(parts, func(_ int, p Partition) []fedrpc.Request {
+		var reqs []fedrpc.Request
+		for _, i := range gets[p.Addr] {
+			reqs = append(reqs, fedrpc.Request{Type: fedrpc.Get, ID: m.fm.Partitions[i].DataID})
+		}
+		return append(reqs, rmvar(ids[p.Addr]...))
+	})
+	if err != nil {
+		return nil, err
+	}
+	data := make([]fedrpc.Payload, len(m.fm.Partitions))
+	for ai, p := range parts {
+		for k, i := range gets[p.Addr] {
+			data[i] = resps[ai][k].Data
+		}
+	}
+	return m.assemble(func(i int) fedrpc.Payload { return data[i] })
 }
 
 // Free releases the worker-side partitions of this federated matrix
@@ -217,12 +256,24 @@ func Free(ms ...*Matrix) error {
 	if len(ms) == 0 {
 		return nil
 	}
-	c := ms[0].c
-	var parts []Partition // one per worker address, in first-seen order
-	ids := map[string][]int64{}
+	parts, ids, err := byAddr(ms)
+	if err != nil {
+		return err
+	}
+	_, err = ms[0].c.parallelCall(parts, func(_ int, p Partition) []fedrpc.Request {
+		return []fedrpc.Request{rmvar(ids[p.Addr]...)}
+	})
+	return err
+}
+
+// byAddr groups the partition IDs of ms by worker address: parts holds one
+// partition per address, in first-seen order. The matrices must belong to
+// one coordinator.
+func byAddr(ms []*Matrix) (parts []Partition, ids map[string][]int64, err error) {
+	ids = map[string][]int64{}
 	for _, m := range ms {
-		if m.c != c {
-			return fmt.Errorf("federated: free of matrices from different coordinators")
+		if m.c != ms[0].c {
+			return nil, nil, fmt.Errorf("federated: matrices from different coordinators")
 		}
 		for _, p := range m.fm.Partitions {
 			if _, ok := ids[p.Addr]; !ok {
@@ -231,12 +282,12 @@ func Free(ms ...*Matrix) error {
 			ids[p.Addr] = append(ids[p.Addr], p.DataID)
 		}
 	}
-	_, err := c.parallelCall(parts, func(_ int, p Partition) []fedrpc.Request {
-		return []fedrpc.Request{{Type: fedrpc.ExecInst, Inst: &fedrpc.Instruction{
-			Opcode: "rmvar", Inputs: ids[p.Addr],
-		}}}
-	})
-	return err
+	return parts, ids, nil
+}
+
+// rmvar is the instruction removing ids from a worker's symbol table.
+func rmvar(ids ...int64) fedrpc.Request {
+	return fedrpc.Request{Type: fedrpc.ExecInst, Inst: &fedrpc.Instruction{Opcode: "rmvar", Inputs: ids}}
 }
 
 // derive builds a result federated matrix over new per-partition data IDs

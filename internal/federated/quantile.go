@@ -70,8 +70,7 @@ func (m *Matrix) countLE(pivot float64) (int, error) {
 			{Type: fedrpc.ExecInst, Inst: &fedrpc.Instruction{
 				Opcode: "ua_partial", Inputs: []int64{maskID}, Output: aggID}},
 			{Type: fedrpc.Get, ID: aggID},
-			{Type: fedrpc.ExecInst, Inst: &fedrpc.Instruction{
-				Opcode: "rmvar", Inputs: []int64{maskID, aggID}}},
+			rmvar(maskID, aggID),
 		}
 	})
 	if err != nil {

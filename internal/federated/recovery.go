@@ -401,9 +401,7 @@ func (c *Coordinator) ensureIDs(addr string, cl *fedrpc.Client, ids []int64, str
 		batch = append(batch, rec.req)
 	}
 	if len(dead) > 0 {
-		batch = append(batch, fedrpc.Request{Type: fedrpc.ExecInst, Inst: &fedrpc.Instruction{
-			Opcode: "rmvar", Inputs: dead,
-		}})
+		batch = append(batch, rmvar(dead...))
 	}
 	// replayMu is held across the exchange by design: it exists to
 	// serialize whole replay rounds per worker (plan + batch + ack), not

@@ -1,6 +1,7 @@
 package federated_test
 
 import (
+	"errors"
 	"net"
 	"strings"
 	"sync"
@@ -93,7 +94,8 @@ func TestNoRetryFailsFastWithoutLeaks(t *testing.T) {
 // TestParallelCallPartialFailureCleansUp covers the partial-failure path of
 // a parallel federated operation: one partition's instruction fails while
 // the others succeed and bind outputs; the coordinator must reclaim those
-// outputs instead of leaking them (satellite 4).
+// outputs instead of leaking them. The instruction is queued, so the
+// failure surfaces as a *DeferredError at the first call that flushes it.
 func TestParallelCallPartialFailureCleansUp(t *testing.T) {
 	cl := startCluster(t, 3)
 	x := randMat(5, 30, 4)
@@ -112,8 +114,14 @@ func TestParallelCallPartialFailureCleansUp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := bad.Unary(matrix.UAbs); err == nil {
-		t.Fatal("unary over a dangling partition should fail")
+	abs, err := bad.Unary(matrix.UAbs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = abs.Sum()
+	var de *federated.DeferredError
+	if !errors.As(err, &de) || de.Opcode != "abs" || de.Op != "Unary" {
+		t.Fatalf("flush of unary over a dangling partition: error %v, want a DeferredError naming abs", err)
 	}
 	for i, w := range cl.Workers {
 		if n := w.NumObjects(); n != baseline[i] {
